@@ -3,9 +3,10 @@
  * Durable content-addressed result cache: the cheapest simulated
  * cycle is the one never re-simulated. Every finished matrix cell's
  * resultToJson line is stored under a 64-bit FNV key folded from the
- * cell's full identity — configFingerprint (plus the non-fingerprint
- * determinism knobs), the workload's program-identity hash, the
- * sampling regime, and the result-schema version — so a later batch
+ * cell's full identity — configFingerprint (every result-identity
+ * field of the SimConfig field registry, sim/config_fields.hh), the
+ * workload's program-identity hash, the program iteration count, and
+ * the result-schema version — so a later batch
  * or daemon spec that names the same cell adopts the result instead
  * of re-simulating it, bit-identically (the payload round-trips
  * through the same %.17g serialization resume checkpoints use).
@@ -55,11 +56,11 @@ namespace cache
 
 /**
  * Version of the SimResult JSON schema stored in cache payloads.
- * Bump whenever resultToJson's field set changes; old entries then
- * read as stale and re-simulate instead of replaying a result that
- * is missing fields downstream code expects.
+ * Bump whenever resultToJson's field set or the key's composition
+ * changes; old entries then read as stale and re-simulate instead of
+ * replaying a result that is missing fields downstream code expects.
  */
-constexpr std::uint32_t kResultSchemaVersion = 2;
+constexpr std::uint32_t kResultSchemaVersion = 3;
 
 /** FNV-1a fold of an ordered tuple of 64-bit identity parts. */
 std::uint64_t foldKey(std::initializer_list<std::uint64_t> parts);

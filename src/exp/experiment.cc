@@ -49,24 +49,13 @@ parseModelSpec(const std::string &token, ModelSpec &out)
         name = token.substr(0, colon);
         level = token.substr(colon + 1);
     }
-    bool found = false;
-    for (ModelKind m : {ModelKind::Base, ModelKind::Fixed,
-                        ModelKind::Ideal, ModelKind::Resizing,
-                        ModelKind::Runahead, ModelKind::Occupancy,
-                        ModelKind::Wib}) {
-        if (name == modelName(m)) {
-            out.model = m;
-            found = true;
-            break;
-        }
-    }
-    if (!found)
+    if (!parseModelName(name, out.model))
         return false;
     out.level = 1;
     if (!level.empty()) {
         char *end = nullptr;
         unsigned long v = std::strtoul(level.c_str(), &end, 10);
-        if (*end != '\0' || v == 0 || v > 16)
+        if (*end != '\0' || v == 0 || v > kMaxLevels)
             return false;
         out.level = static_cast<unsigned>(v);
     }
@@ -427,10 +416,9 @@ ExperimentRunner::runAll(const ExperimentSpec &spec,
     }
 
     // Content-addressed result cache: each job's key folds the full
-    // cell identity — configFingerprint plus the determinism knobs it
-    // deliberately leaves out (they change result bytes:
-    // commitStreamHash under the checker, early stops), the
-    // workload's program identity, and the result-schema version.
+    // cell identity — configFingerprint (every result-identity field
+    // of the SimConfig field registry), the workload's program
+    // identity, the iteration count, and the result-schema version.
     // Any construction failure already degraded to cache-off with a
     // warning inside the ResultCache constructor.
     std::unique_ptr<cache::ResultCache> rcache;
@@ -466,12 +454,8 @@ ExperimentRunner::runAll(const ExperimentSpec &spec,
         }
         cache_keys.resize(batch.jobs.size());
         for (const ExperimentJob &job : batch.jobs) {
-            const SimConfig &c = job.cfg;
             cache_keys[job.index] = cache::foldKey(
-                {configFingerprint(c), c.maxCycles,
-                 static_cast<std::uint64_t>(c.lockstepCheck),
-                 c.core.debugStallCommitAt,
-                 static_cast<std::uint64_t>(c.core.debugCorruptUndo),
+                {configFingerprint(job.cfg),
                  prog_identity.at(job.workload), spec.iterations,
                  cache::kResultSchemaVersion});
         }

@@ -8,7 +8,7 @@
 
 #include "common/json.hh"
 #include "exp/result_writer.hh"
-#include "smt/smt_config.hh"
+#include "sim/config_fields.hh"
 
 namespace mlpwin
 {
@@ -93,7 +93,17 @@ std::string
 jobToJson(const exp::ExperimentSpec &spec,
           const exp::ExperimentJob &job, unsigned attempt)
 {
-    const SimConfig &c = job.cfg;
+    // Every registered SimConfig field, in registry order.
+    std::string cfg;
+    auto write = [&cfg](const char *name, const auto &ref, auto, auto,
+                        FieldRole) {
+        cfg += cfg.empty() ? "{\"" : ",\"";
+        cfg += name;
+        cfg += "\":";
+        cfg += formatField(ref);
+    };
+    visitFields(job.cfg, write);
+
     std::ostringstream os;
     os << "{\"type\":\"job\""
        << ",\"index\":" << job.index << ",\"attempt\":" << attempt
@@ -109,47 +119,7 @@ jobToJson(const exp::ExperimentSpec &spec,
        << jsonEscape(spec.archCheckpointDir) << '"'
        << ",\"telemetryDir\":\"" << jsonEscape(spec.telemetryDir)
        << '"' << ",\"telemetryInterval\":"
-       << fmtU64(spec.telemetryInterval)
-       << ",\"cfg\":{"
-       << "\"model\":\"" << modelName(c.model) << '"'
-       << ",\"fixedLevel\":" << c.fixedLevel
-       << ",\"warmInstCaches\":" << (c.warmInstCaches ? "true" : "false")
-       << ",\"warmDataCaches\":" << (c.warmDataCaches ? "true" : "false")
-       << ",\"warmupInsts\":" << fmtU64(c.warmupInsts)
-       << ",\"functionalWarmup\":"
-       << (c.functionalWarmup ? "true" : "false")
-       << ",\"lockstepCheck\":" << (c.lockstepCheck ? "true" : "false")
-       << ",\"maxInsts\":" << fmtU64(c.maxInsts)
-       << ",\"maxCycles\":" << fmtU64(c.maxCycles)
-       << ",\"samplingEnabled\":"
-       << (c.sampling.enabled ? "true" : "false")
-       << ",\"sampleInterval\":" << fmtU64(c.sampling.intervalInsts)
-       << ",\"samplePeriod\":" << fmtU64(c.sampling.periodInsts)
-       << ",\"sampleDetailedWarmup\":"
-       << fmtU64(c.sampling.detailedWarmupInsts)
-       << ",\"watchdogEnabled\":"
-       << (c.watchdog.enabled ? "true" : "false")
-       << ",\"watchdogWindow\":" << fmtU64(c.watchdog.noCommitWindow)
-       << ",\"watchdogInterval\":" << fmtU64(c.watchdog.checkInterval)
-       << ",\"smtThreads\":" << c.core.smt.nThreads
-       << ",\"fetchPolicy\":\""
-       << fetchPolicyName(c.core.smt.fetchPolicy) << '"'
-       << ",\"partitionPolicy\":\""
-       << partitionPolicyName(c.core.smt.partitionPolicy) << '"'
-       << ",\"stallCommitAt\":" << fmtU64(c.core.debugStallCommitAt)
-       << ",\"vmEnabled\":" << (c.vm.enabled ? "true" : "false")
-       << ",\"vmItlbEntries\":" << c.vm.itlb.entries
-       << ",\"vmItlbAssoc\":" << c.vm.itlb.assoc
-       << ",\"vmDtlbEntries\":" << c.vm.dtlb.entries
-       << ",\"vmDtlbAssoc\":" << c.vm.dtlb.assoc
-       << ",\"vmStlbEntries\":" << c.vm.stlb.entries
-       << ",\"vmStlbAssoc\":" << c.vm.stlb.assoc
-       << ",\"vmStlbLatency\":" << c.vm.stlb.hitLatency
-       << ",\"vmWalkLevels\":" << c.vm.walkLevels
-       << ",\"vmHugePages\":" << (c.vm.hugePages ? "true" : "false")
-       << ",\"vmFragPermille\":" << c.vm.fragPermille
-       << ",\"vmResizeOnWalk\":"
-       << (c.vm.resizeOnWalk ? "true" : "false")
+       << fmtU64(spec.telemetryInterval) << ",\"cfg\":" << cfg
        << "}}";
     return os.str();
 }
@@ -162,6 +132,45 @@ badJob(const std::string &why)
 {
     throw SimError(ErrorCode::InvalidArgument,
                    "malformed job frame: " + why);
+}
+
+/**
+ * Decode the frame's `cfg` object into a SimConfig: every registered
+ * field must be present and within its bounds, and no other key (nor
+ * a repeated one) may appear.
+ */
+SimConfig
+configFromJson(const JsonValue &cv)
+{
+    const auto &obj = cv.object;
+    std::vector<bool> used(obj.size());
+    auto read = [&](const char *name, auto &ref, auto lo, auto hi,
+                    FieldRole) {
+        std::size_t i = 0;
+        while (i < obj.size() && obj[i].first != name)
+            ++i;
+        if (i == obj.size())
+            badJob(std::string("cfg lacks ") + name);
+        used[i] = true;
+        const JsonValue &jv = obj[i].second;
+        bool ok;
+        if constexpr (std::is_same_v<decltype(lo), bool>) {
+            ok = jv.kind == JsonValue::Kind::Bool;
+            ref = jv.boolean;
+        } else {
+            ok = jv.kind == JsonValue::Kind::Number &&
+                 parseField(jv.text.c_str(), lo, hi, ref);
+        }
+        if (!ok)
+            badJob(std::string("cfg.") + name + " must be in [" +
+                   formatField(lo) + ", " + formatField(hi) + "]");
+    };
+    SimConfig c;
+    visitFields(c, read);
+    for (std::size_t i = 0; i < used.size(); ++i)
+        if (!used[i])
+            badJob("cfg has unexpected key " + obj[i].first);
+    return c;
 }
 
 } // namespace
@@ -182,80 +191,35 @@ jobFromJson(const std::string &json, exp::ExperimentSpec &spec,
     job = exp::ExperimentJob{};
     spec = exp::ExperimentSpec{};
 
-    job.index = v.field("index").asU64();
-    attempt = static_cast<unsigned>(v.field("attempt").asU64());
-    job.workload = v.field("workload").asString();
+    try {
+        job.index = v.field("index").asU64();
+        attempt = static_cast<unsigned>(v.field("attempt").asU64());
+        job.workload = v.field("workload").asString();
 
-    exp::ModelSpec ms;
-    if (!exp::parseModelSpec(v.field("model").asString(), ms))
-        badJob("unknown model " + v.field("model").asString());
-    ms.level = static_cast<unsigned>(v.field("level").asU64());
-    ms.label = v.field("label").asString();
-    job.model = ms;
+        exp::ModelSpec ms;
+        if (!exp::parseModelSpec(v.field("model").asString(), ms))
+            badJob("unknown model " + v.field("model").asString());
+        ms.level = static_cast<unsigned>(v.field("level").asU64());
+        ms.label = v.field("label").asString();
+        job.model = ms;
 
-    spec.iterations = v.field("iterations").asU64();
-    spec.jobTimeoutSeconds = v.field("jobTimeoutSeconds").asDouble();
-    spec.maxAttempts =
-        static_cast<unsigned>(v.field("maxAttempts").asU64());
-    spec.retryBackoffMs =
-        static_cast<unsigned>(v.field("retryBackoffMs").asU64());
-    spec.archCheckpointDir = v.field("archCheckpointDir").asString();
-    spec.telemetryDir = v.field("telemetryDir").asString();
-    spec.telemetryInterval = v.field("telemetryInterval").asU64();
-
-    const JsonValue &cv = v.field("cfg");
-    SimConfig c;
-    exp::ModelSpec cm;
-    if (!exp::parseModelSpec(cv.field("model").asString(), cm))
-        badJob("unknown cfg model");
-    c.model = cm.model;
-    c.fixedLevel =
-        static_cast<unsigned>(cv.field("fixedLevel").asU64());
-    c.warmInstCaches = cv.field("warmInstCaches").asBool();
-    c.warmDataCaches = cv.field("warmDataCaches").asBool();
-    c.warmupInsts = cv.field("warmupInsts").asU64();
-    c.functionalWarmup = cv.field("functionalWarmup").asBool();
-    c.lockstepCheck = cv.field("lockstepCheck").asBool();
-    c.maxInsts = cv.field("maxInsts").asU64();
-    c.maxCycles = cv.field("maxCycles").asU64();
-    c.sampling.enabled = cv.field("samplingEnabled").asBool();
-    c.sampling.intervalInsts = cv.field("sampleInterval").asU64();
-    c.sampling.periodInsts = cv.field("samplePeriod").asU64();
-    c.sampling.detailedWarmupInsts =
-        cv.field("sampleDetailedWarmup").asU64();
-    c.watchdog.enabled = cv.field("watchdogEnabled").asBool();
-    c.watchdog.noCommitWindow = cv.field("watchdogWindow").asU64();
-    c.watchdog.checkInterval = cv.field("watchdogInterval").asU64();
-    c.core.smt.nThreads =
-        static_cast<unsigned>(cv.field("smtThreads").asU64());
-    if (!parseFetchPolicy(cv.field("fetchPolicy").asString().c_str(),
-                          c.core.smt.fetchPolicy))
-        badJob("unknown fetch policy");
-    if (!parsePartitionPolicy(
-            cv.field("partitionPolicy").asString().c_str(),
-            c.core.smt.partitionPolicy))
-        badJob("unknown partition policy");
-    c.core.debugStallCommitAt = cv.field("stallCommitAt").asU64();
-    // vm fields postdate the original frame schema; a frame from an
-    // older peer loads with paging off (the old behaviour).
-    if (cv.hasField("vmEnabled")) {
-        auto u = [&cv](const char *k) {
-            return static_cast<unsigned>(cv.field(k).asU64());
-        };
-        c.vm.enabled = cv.field("vmEnabled").asBool();
-        c.vm.itlb.entries = u("vmItlbEntries");
-        c.vm.itlb.assoc = u("vmItlbAssoc");
-        c.vm.dtlb.entries = u("vmDtlbEntries");
-        c.vm.dtlb.assoc = u("vmDtlbAssoc");
-        c.vm.stlb.entries = u("vmStlbEntries");
-        c.vm.stlb.assoc = u("vmStlbAssoc");
-        c.vm.stlb.hitLatency = u("vmStlbLatency");
-        c.vm.walkLevels = u("vmWalkLevels");
-        c.vm.hugePages = cv.field("vmHugePages").asBool();
-        c.vm.fragPermille = u("vmFragPermille");
-        c.vm.resizeOnWalk = cv.field("vmResizeOnWalk").asBool();
+        spec.iterations = v.field("iterations").asU64();
+        spec.jobTimeoutSeconds =
+            v.field("jobTimeoutSeconds").asDouble();
+        spec.maxAttempts =
+            static_cast<unsigned>(v.field("maxAttempts").asU64());
+        spec.retryBackoffMs =
+            static_cast<unsigned>(v.field("retryBackoffMs").asU64());
+        spec.archCheckpointDir =
+            v.field("archCheckpointDir").asString();
+        spec.telemetryDir = v.field("telemetryDir").asString();
+        spec.telemetryInterval = v.field("telemetryInterval").asU64();
+        job.cfg = configFromJson(v.field("cfg"));
+    } catch (const SimError &) {
+        throw;
+    } catch (const std::exception &e) {
+        badJob(e.what());
     }
-    job.cfg = c;
 
     // The worker runs exactly one job; the spec's matrix fields are
     // not used by runJob but keep jobCount() honest for debugging.

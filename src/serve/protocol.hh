@@ -18,7 +18,7 @@
  *
  *  supervisor -> worker:
  *    {"type":"job", "index":N, "attempt":K, "workload":..., model and
- *     spec fields, "cfg":{wire subset of SimConfig}}
+ *     spec fields, "cfg":{every SimConfig registry field}}
  *
  *  worker -> supervisor:
  *    {"type":"hello","pid":N}
@@ -34,13 +34,12 @@
  * in-process — the same %.17g round-trip guarantee the resume
  * checkpoints rely on.
  *
- * The config carried by a job frame is the subset of SimConfig the
- * batch tools can set (model/level, warm-up, sampling, lockstep
- * check, instruction/cycle budgets, watchdog, SMT, and the
- * debugStallCommitAt test hook). A spec `configure` hook runs in the
- * supervisor before serialization, so hooks that touch wire fields
- * work under isolation; hooks touching anything else are in-process
- * only (documented in EXPERIMENTS.md).
+ * The job frame's `cfg` object carries every field of the SimConfig
+ * field registry (sim/config_fields.hh) under its dotted name, so a
+ * config — including whatever a spec `configure` hook set in the
+ * supervisor — arrives in the worker whole. The worker and the
+ * supervisor come from one build: a missing, unknown or out-of-bounds
+ * cfg key makes the frame malformed (SimError InvalidArgument).
  */
 
 #ifndef MLPWIN_SERVE_PROTOCOL_HH

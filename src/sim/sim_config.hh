@@ -47,8 +47,15 @@ enum class ModelKind
     Wib,
 };
 
+/** Most instruction-window levels a config may have (model levels
+ *  are 1-based, so also the largest fixedLevel). */
+constexpr unsigned kMaxLevels = 16;
+
 /** Printable model name. */
 const char *modelName(ModelKind kind);
+
+/** Inverse of modelName; false (out untouched) on an unknown name. */
+bool parseModelName(const std::string &name, ModelKind &out);
 
 /**
  * Forward-progress watchdog (see Simulator::runUntil). A wedged core

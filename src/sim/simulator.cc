@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "profile/profiler.hh"
 #include "sample/fastforward.hh"
+#include "sim/config_fields.hh"
 #include "workloads/suite.hh"
 
 namespace mlpwin
@@ -31,6 +32,18 @@ modelName(ModelKind kind)
         return "wib";
     }
     return "?";
+}
+
+bool
+parseModelName(const std::string &name, ModelKind &out)
+{
+    for (unsigned k = 0; k <= static_cast<unsigned>(ModelKind::Wib); ++k) {
+        if (name == modelName(static_cast<ModelKind>(k))) {
+            out = static_cast<ModelKind>(k);
+            return true;
+        }
+    }
+    return false;
 }
 
 namespace
@@ -792,89 +805,20 @@ Simulator::collectResult(const PollutionStats &pollution_base)
 std::uint64_t
 configFingerprint(const SimConfig &cfg)
 {
-    // FNV-1a over the performance-relevant numeric knobs, folded in a
-    // fixed order so the fingerprint is stable across runs and hosts.
+    // FNV-1a over every identity field of the registry, in registry
+    // order, so the fingerprint is stable across runs and hosts.
     std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto fold = [&h](std::uint64_t v) {
+    auto fold = [&h](const char *, const auto &ref, auto, auto,
+                     FieldRole role) {
+        if (role != FieldRole::Identity)
+            return;
+        const std::uint64_t v = fieldBits(ref);
         for (unsigned i = 0; i < 8; ++i) {
             h ^= (v >> (8 * i)) & 0xff;
             h *= 0x100000001b3ULL;
         }
     };
-
-    fold(static_cast<std::uint64_t>(cfg.model));
-    fold(cfg.fixedLevel);
-    for (unsigned l = 1; l <= cfg.levels.maxLevel(); ++l) {
-        const ResourceLevel &lvl = cfg.levels.at(l);
-        fold(lvl.robSize);
-        fold(lvl.iqSize);
-        fold(lvl.lsqSize);
-        fold(lvl.iqDepth);
-        fold(lvl.robDepth);
-        fold(lvl.lsqDepth);
-    }
-
-    const CoreConfig &c = cfg.core;
-    fold(c.fetchWidth);
-    fold(c.decodeWidth);
-    fold(c.issueWidth);
-    fold(c.commitWidth);
-    fold(c.mispredictPenalty);
-    fold(c.fetchQueueSize);
-    fold(c.storeBufferSize);
-    fold(c.numIntAlu);
-    fold(c.numIntMulDiv);
-    fold(c.numMemPorts);
-    fold(c.numFpAlu);
-    fold(c.numFpMulDiv);
-    fold(c.pipelinePenalties);
-    fold(c.wrongPathExecution);
-    fold(c.wibEnabled);
-    fold(c.wibSize);
-    fold(c.smt.nThreads);
-    fold(static_cast<std::uint64_t>(c.smt.fetchPolicy));
-    fold(static_cast<std::uint64_t>(c.smt.partitionPolicy));
-
-    for (const CacheConfig &cc : {cfg.mem.l1i, cfg.mem.l1d,
-                                  cfg.mem.l2}) {
-        fold(cc.sizeBytes);
-        fold(cc.assoc);
-        fold(cc.lineBytes);
-        fold(cc.hitLatency);
-        fold(cc.mshrs);
-    }
-    fold(cfg.mem.dram.minLatency);
-    fold(cfg.mem.dram.bytesPerCycle);
-    fold(cfg.mem.prefetcher.enabled);
-    fold(cfg.mem.prefetcher.degree);
-
-    fold(cfg.mlp.memoryLatency);
-    fold(cfg.mlp.transitionPenalty);
-    fold(cfg.warmInstCaches);
-    fold(cfg.warmDataCaches);
-    fold(cfg.warmupInsts);
-    fold(cfg.functionalWarmup);
-    fold(cfg.sampling.enabled);
-    fold(cfg.sampling.intervalInsts);
-    fold(cfg.sampling.periodInsts);
-    fold(cfg.sampling.detailedWarmupInsts);
-    fold(cfg.maxInsts);
-
-    // Virtual-memory knobs. Folded unconditionally (off still folds
-    // the defaults) so the fingerprint depends on every MMU field;
-    // two runs differing in any TLB geometry, huge-page, or walk knob
-    // get distinct fingerprints — and distinct result-cache keys.
-    const vm::MmuConfig &v = cfg.vm;
-    fold(v.enabled);
-    for (const vm::TlbConfig &t : {v.itlb, v.dtlb, v.stlb}) {
-        fold(t.entries);
-        fold(t.assoc);
-        fold(t.hitLatency);
-    }
-    fold(v.walkLevels);
-    fold(v.hugePages);
-    fold(v.fragPermille);
-    fold(v.resizeOnWalk);
+    visitFields(cfg, fold);
     return h;
 }
 

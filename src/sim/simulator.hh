@@ -377,11 +377,13 @@ class Simulator
 };
 
 /**
- * FNV-1a fingerprint of the performance-relevant SimConfig fields
- * (model, level table, core widths, memory latencies, SMT/sampling
- * setup). Two runs with equal fingerprints simulate the same
- * machine; BENCH_<n>.json records it so cross-commit comparisons can
- * tell "the simulator got faster" from "the config changed".
+ * FNV-1a fingerprint of every result-identity field of the SimConfig
+ * field registry (sim/config_fields.hh): all fields but the host-only
+ * watchdog knobs, in registry order. Two configs with equal
+ * fingerprints produce the same result for the same program, so the
+ * result cache keys on it; BENCH_<n>.json records it so cross-commit
+ * comparisons can tell "the simulator got faster" from "the config
+ * changed".
  */
 std::uint64_t configFingerprint(const SimConfig &cfg);
 

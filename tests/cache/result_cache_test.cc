@@ -5,8 +5,8 @@
  * on an unusable directory, the offline maintenance operations
  * (fsck/ls/gc/clear), and the batch-runner integration — a repeated
  * spec adopts every cell from cache bit-identically, a poisoned
- * entry quarantines and re-simulates, and the identity knobs that
- * configFingerprint deliberately omits still miss the cache.
+ * entry quarantines and re-simulates, and the determinism knobs
+ * (budgets, checker, test hooks) miss the cache when they change.
  */
 
 #include <gtest/gtest.h>
@@ -411,9 +411,11 @@ TEST(CacheRunnerTest, PoisonedEntryQuarantinesAndReRunsIdentical)
 }
 
 /**
- * The cache key must fold the determinism knobs configFingerprint
- * deliberately omits (they change result bytes): flipping one must
- * miss, not replay a result computed under different rules.
+ * Determinism knobs such as the cycle ceiling change result bytes
+ * (early stops, commitStreamHash under the checker); they reach the
+ * key through configFingerprint like every other identity field of
+ * the registry. Flipping one must miss, not replay a result computed
+ * under different rules.
  */
 TEST(CacheRunnerTest, NonFingerprintKnobsStillAddressTheCache)
 {
@@ -425,7 +427,7 @@ TEST(CacheRunnerTest, NonFingerprintKnobsStillAddressTheCache)
     EXPECT_EQ(first.cacheStores, 1u);
 
     exp::ExperimentSpec changed = spec;
-    changed.base.maxCycles = 123456; // Not in configFingerprint.
+    changed.base.maxCycles = 123456;
     exp::BatchOutcome miss = exp::ExperimentRunner(1, false).runAll(changed);
     ASSERT_TRUE(miss.allOk());
     EXPECT_EQ(miss.cacheHits, 0u);

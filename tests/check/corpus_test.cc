@@ -23,6 +23,10 @@ namespace mlpwin
 namespace
 {
 
+/**
+ * Corpus file names, relative to the corpus directory so the test
+ * names do not depend on where the checkout lives.
+ */
 std::vector<std::string>
 corpusFiles()
 {
@@ -30,7 +34,7 @@ corpusFiles()
     for (const auto &e : std::filesystem::directory_iterator(
              MLPWIN_CHECK_CORPUS_DIR)) {
         if (e.path().extension() == ".mlpasm")
-            files.push_back(e.path().string());
+            files.push_back(e.path().filename().string());
     }
     std::sort(files.begin(), files.end());
     return files;
@@ -58,7 +62,9 @@ replayName(const ::testing::TestParamInfo<std::string> &info)
 
 TEST_P(CorpusReplay, AllModelsAgreeUnderChecker)
 {
-    Program p = loadMlpasm(GetParam());
+    Program p = loadMlpasm(
+        (std::filesystem::path(MLPWIN_CHECK_CORPUS_DIR) / GetParam())
+            .string());
     DiffOutcome o = runDifferential(p, DifferentialConfig{});
     EXPECT_EQ(o.status, DiffStatus::Pass) << o.detail;
     ASSERT_FALSE(o.models.empty());

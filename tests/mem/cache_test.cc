@@ -172,6 +172,13 @@ struct Geometry
     unsigned line;
 };
 
+/** Printed into the ctest name (e.g. 1024B/2way/32B), not as bytes. */
+void
+PrintTo(const Geometry &g, std::ostream *os)
+{
+    *os << g.size << "B/" << g.assoc << "way/" << g.line << 'B';
+}
+
 class CacheGeometryTest : public ::testing::TestWithParam<Geometry>
 {
 };

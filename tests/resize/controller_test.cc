@@ -253,6 +253,14 @@ struct TraceParams
     double missProb; // Per-cycle L2 miss probability.
 };
 
+/** Printed into the ctest name, not as bytes. */
+void
+PrintTo(const TraceParams &p, std::ostream *os)
+{
+    *os << "seed " << p.seed << " lat " << p.memoryLatency << " pen "
+        << p.transitionPenalty << " miss " << p.missProb;
+}
+
 class MlpControllerProperty
     : public ::testing::TestWithParam<TraceParams>
 {

@@ -126,8 +126,14 @@ class DaemonRoundTrip : public ::testing::Test
     void
     SetUp() override
     {
+        // Private to this test and process: parallel ctest runs and
+        // concurrent checkouts never share (or remove_all) it.
         base_ = std::filesystem::path(::testing::TempDir()) /
-                "mlpwind_test";
+                ("mlpwind_test_" +
+                 std::string(::testing::UnitTest::GetInstance()
+                                 ->current_test_info()
+                                 ->name()) +
+                 "_" + std::to_string(::getpid()));
         std::filesystem::remove_all(base_);
         std::filesystem::create_directories(base_);
         opts_.socketPath = (base_ / "sock").string();

@@ -225,6 +225,28 @@ TEST(JobWireTest, StallCommitSentinelSurvives)
     EXPECT_EQ(job2.cfg.core.debugStallCommitAt, kNoCycle);
 }
 
+/**
+ * Fig. 10's enlarged L2 (2.5 MB, 5-way) is set by a spec `configure`
+ * hook; under --isolate it must reach the worker whole, not as the
+ * Table-1 default L2.
+ */
+TEST(JobWireTest, Fig10BigL2SurvivesTheWire)
+{
+    exp::ExperimentSpec spec;
+    exp::ExperimentJob job = sampleJob();
+    job.cfg.mem.l2.sizeBytes = 2621440;
+    job.cfg.mem.l2.assoc = 5;
+    exp::ExperimentSpec spec2;
+    exp::ExperimentJob job2;
+    unsigned attempt = 0;
+    jobFromJson(jobToJson(spec, job, 1), spec2, job2, attempt);
+    EXPECT_EQ(job2.cfg.mem.l2.sizeBytes, 2621440u);
+    EXPECT_EQ(job2.cfg.mem.l2.assoc, 5u);
+    EXPECT_EQ(job2.cfg.mem.l2.lineBytes, job.cfg.mem.l2.lineBytes);
+    EXPECT_EQ(job2.cfg.mem.l2.hitLatency, job.cfg.mem.l2.hitLatency);
+    EXPECT_EQ(job2.cfg.mem.l2.mshrs, job.cfg.mem.l2.mshrs);
+}
+
 TEST(WorkerMessageTest, ResultSliceIsByteExact)
 {
     SimResult r;

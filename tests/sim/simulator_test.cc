@@ -182,6 +182,28 @@ TEST(SimulatorTest, RunaheadModelRollsBackExactly)
     EXPECT_EQ(r.archRegChecksum, ref.regs().checksum());
 }
 
+/**
+ * The predictor and prefetcher ablations (bench/abl_predictor,
+ * bench/abl_pf_kind) differ from the default machine only in the
+ * algorithm kind; the result cache must never hand one the other's
+ * result.
+ */
+TEST(ConfigFingerprintTest, PredictorKindChangesFingerprint)
+{
+    SimConfig base;
+    SimConfig bimodal;
+    bimodal.bp.kind = DirectionKind::Bimodal;
+    EXPECT_NE(configFingerprint(bimodal), configFingerprint(base));
+}
+
+TEST(ConfigFingerprintTest, PrefetcherKindChangesFingerprint)
+{
+    SimConfig base;
+    SimConfig stream;
+    stream.mem.prefetcher.kind = PrefetcherKind::Stream;
+    EXPECT_NE(configFingerprint(stream), configFingerprint(base));
+}
+
 TEST(SimulatorTest, ModelNamesAreStable)
 {
     EXPECT_STREQ(modelName(ModelKind::Base), "base");

@@ -42,7 +42,7 @@
 #include "exp/result_writer.hh"
 #include "serve/fault_inject.hh"
 #include "serve/supervisor.hh"
-#include "vm/mmu_flags.hh"
+#include "sim/config_flags.hh"
 #include "workloads/suite.hh"
 
 using namespace mlpwin;
@@ -155,7 +155,7 @@ usage()
         "                        watchdog\n"
         "  --quiet               suppress per-job progress on "
         "stderr\n",
-        vm::vmFlagsUsage());
+        vmFlagsUsage());
 }
 
 std::vector<std::string>
@@ -206,18 +206,6 @@ resolveWorkloads(const std::string &arg, std::vector<std::string> &out)
     return true;
 }
 
-std::uint64_t
-numericFlag(const std::string &flag, const char *value)
-{
-    std::uint64_t v = 0;
-    if (!parseU64(value, v)) {
-        std::fprintf(stderr, "%s: not a number: '%s'\n", flag.c_str(),
-                     value);
-        std::exit(2);
-    }
-    return v;
-}
-
 } // namespace
 
 int
@@ -239,17 +227,8 @@ main(int argc, char **argv)
     spec.base.warmDataCaches = true;
     spec.base.maxInsts = 300000;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-
+    for (ArgCursor args(argc, argv); args.next();) {
+        const std::string &arg = args.arg();
         if (arg == "--list") {
             for (const WorkloadSpec &w : spec2006Suite())
                 std::printf("%-12s %5s  %s\n", w.name.c_str(),
@@ -258,85 +237,30 @@ main(int argc, char **argv)
                                            : "compute-intensive");
             return 0;
         } else if (arg == "--workloads") {
-            workloads_arg = next();
+            workloads_arg = args.value();
         } else if (arg == "--models") {
-            models_arg = next();
+            models_arg = args.value();
         } else if (arg == "-j" || arg == "--jobs") {
-            const char *v = next();
+            const char *v = args.value();
             if (!parseUnsigned(v, jobs) || jobs == 0) {
                 std::fprintf(stderr, "-j: not a positive number: "
                              "'%s'\n", v);
                 return 2;
             }
-        } else if (arg == "--threads") {
-            const char *v = next();
-            if (!parseBoundedUnsigned(v, 1, kMaxSmtThreads,
-                                      spec.base.core.smt.nThreads)) {
-                std::fprintf(stderr,
-                             "--threads: expected an integer in "
-                             "[1, %u], got '%s'\n",
-                             kMaxSmtThreads, v);
-                return 2;
-            }
-        } else if (arg == "--fetch-policy") {
-            const char *v = next();
-            if (!parseFetchPolicy(v,
-                                  spec.base.core.smt.fetchPolicy)) {
-                std::fprintf(stderr,
-                             "--fetch-policy: unknown policy '%s' "
-                             "(valid: %s)\n",
-                             v, fetchPolicyNames().c_str());
-                return 2;
-            }
-        } else if (arg == "--partition") {
-            const char *v = next();
-            if (!parsePartitionPolicy(
-                    v, spec.base.core.smt.partitionPolicy)) {
-                std::fprintf(stderr,
-                             "--partition: unknown policy '%s' "
-                             "(valid: %s)\n",
-                             v, partitionPolicyNames().c_str());
-                return 2;
-            }
+        } else if (parseConfigFlag(args, ConfigFlagSet::All, spec.base)) {
+            // Applied to spec.base; a bad value exits 2.
         } else if (arg == "--out") {
-            out_path = next();
+            out_path = args.value();
         } else if (arg == "--csv") {
-            csv_path = next();
-        } else if (arg == "--insts") {
-            spec.base.maxInsts = numericFlag(arg, next());
-        } else if (arg == "--warmup") {
-            spec.base.warmupInsts = numericFlag(arg, next());
-        } else if (arg == "--no-functional-warmup") {
-            spec.base.functionalWarmup = false;
+            csv_path = args.value();
         } else if (arg == "--ckpt-dir") {
-            spec.archCheckpointDir = next();
+            spec.archCheckpointDir = args.value();
         } else if (arg == "--cache-dir") {
-            spec.cacheDir = next();
-        } else if (arg == "--sample-interval") {
-            spec.base.sampling.enabled = true;
-            spec.base.sampling.intervalInsts = numericFlag(arg, next());
-        } else if (arg == "--sample-period") {
-            spec.base.sampling.enabled = true;
-            spec.base.sampling.periodInsts = numericFlag(arg, next());
-        } else if (arg == "--detailed-warmup") {
-            spec.base.sampling.detailedWarmupInsts =
-                numericFlag(arg, next());
-        } else if (arg == "--no-warm-caches") {
-            spec.base.warmInstCaches = false;
-            spec.base.warmDataCaches = false;
-        } else if (vm::isVmBoolFlag(arg) || vm::isVmValueFlag(arg)) {
-            const char *v = vm::isVmValueFlag(arg) ? next() : nullptr;
-            std::string err;
-            if (!vm::applyVmFlag(arg, v, spec.base.vm, err)) {
-                std::fprintf(stderr, "%s\n", err.c_str());
-                return 2;
-            }
-        } else if (arg == "--check") {
-            spec.base.lockstepCheck = true;
+            spec.cacheDir = args.value();
         } else if (arg == "--telemetry-dir") {
-            spec.telemetryDir = next();
+            spec.telemetryDir = args.value();
         } else if (arg == "--telemetry-interval") {
-            const char *v = next();
+            const char *v = args.value();
             if (!parseBoundedU64(v, 1, UINT64_MAX,
                                  spec.telemetryInterval)) {
                 std::fprintf(stderr,
@@ -348,41 +272,33 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             resume = true;
         } else if (arg == "--retries") {
-            spec.maxAttempts =
-                static_cast<unsigned>(numericFlag(arg, next()));
+            spec.maxAttempts = static_cast<unsigned>(args.number());
             if (spec.maxAttempts == 0) {
                 std::fprintf(stderr, "--retries: must be >= 1\n");
                 return 2;
             }
         } else if (arg == "--job-timeout") {
-            spec.jobTimeoutSeconds =
-                static_cast<double>(numericFlag(arg, next()));
+            spec.jobTimeoutSeconds = static_cast<double>(args.number());
         } else if (arg == "--isolate") {
             isolate = true;
         } else if (arg == "--worker-bin") {
-            sup_opts.workerBin = next();
+            sup_opts.workerBin = args.value();
         } else if (arg == "--heartbeat-timeout") {
             sup_opts.heartbeatTimeoutSeconds =
-                static_cast<double>(numericFlag(arg, next()));
+                static_cast<double>(args.number());
             if (sup_opts.heartbeatTimeoutSeconds <= 0) {
                 std::fprintf(stderr,
                              "--heartbeat-timeout: must be >= 1\n");
                 return 2;
             }
         } else if (arg == "--max-dispatch") {
-            sup_opts.maxDispatch =
-                static_cast<unsigned>(numericFlag(arg, next()));
+            sup_opts.maxDispatch = static_cast<unsigned>(args.number());
             if (sup_opts.maxDispatch == 0) {
                 std::fprintf(stderr, "--max-dispatch: must be >= 1\n");
                 return 2;
             }
         } else if (arg == "--inject") {
-            sup_opts.inject = next();
-        } else if (arg == "--watchdog-cycles") {
-            spec.base.watchdog.noCommitWindow =
-                numericFlag(arg, next());
-        } else if (arg == "--no-watchdog") {
-            spec.base.watchdog.enabled = false;
+            sup_opts.inject = args.value();
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "-h" || arg == "--help") {

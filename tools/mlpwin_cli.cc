@@ -26,10 +26,10 @@
 #include "common/parse.hh"
 #include "cpu/tracer.hh"
 #include "profile/profiler.hh"
+#include "sim/config_flags.hh"
 #include "sim/simulator.hh"
 #include "smt/metrics.hh"
 #include "telemetry/export.hh"
-#include "vm/mmu_flags.hh"
 #include "workloads/suite.hh"
 
 using namespace mlpwin;
@@ -118,35 +118,7 @@ usage()
         "                         dispatch,issue,complete,commit,\n"
         "                         squash,resize,runahead\n"
         "      --trace-start N    first cycle to trace (default 0)\n",
-        vm::vmFlagsUsage());
-}
-
-/** Parse a numeric flag value strictly; usage-error exit on junk. */
-std::uint64_t
-numericFlag(const std::string &flag, const char *value)
-{
-    std::uint64_t v = 0;
-    if (!parseU64(value, v)) {
-        std::fprintf(stderr, "%s: not a number: '%s'\n", flag.c_str(),
-                     value);
-        std::exit(2);
-    }
-    return v;
-}
-
-bool
-parseModel(const std::string &s, ModelKind &out)
-{
-    for (ModelKind m : {ModelKind::Base, ModelKind::Fixed,
-                        ModelKind::Ideal, ModelKind::Resizing,
-                        ModelKind::Runahead, ModelKind::Occupancy,
-                        ModelKind::Wib}) {
-        if (s == modelName(m)) {
-            out = m;
-            return true;
-        }
-    }
-    return false;
+        vmFlagsUsage());
 }
 
 } // namespace
@@ -173,17 +145,8 @@ main(int argc, char **argv)
     std::string ckpt_path;
     Cycle telemetry_interval = kDefaultTelemetryInterval;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-
+    for (ArgCursor args(argc, argv); args.next();) {
+        const std::string &arg = args.arg();
         if (arg == "--list") {
             std::printf("%-12s %5s  %s\n", "name", "type", "category");
             for (const WorkloadSpec &w : spec2006Suite())
@@ -193,94 +156,34 @@ main(int argc, char **argv)
                                            : "compute-intensive");
             return 0;
         } else if (arg == "-w" || arg == "--workload") {
-            workload = next();
+            workload = args.value();
         } else if (arg == "-m" || arg == "--model") {
-            std::string name = next();
-            if (!parseModel(name, cfg.model)) {
+            std::string name = args.value();
+            if (!parseModelName(name, cfg.model)) {
                 std::fprintf(stderr, "unknown model: %s\n",
                              name.c_str());
                 return 2;
             }
-        } else if (arg == "--threads") {
-            const char *v = next();
-            if (!parseBoundedUnsigned(v, 1, kMaxSmtThreads,
-                                      cfg.core.smt.nThreads)) {
-                std::fprintf(stderr,
-                             "--threads: expected an integer in "
-                             "[1, %u], got '%s'\n",
-                             kMaxSmtThreads, v);
-                return 2;
-            }
-        } else if (arg == "--fetch-policy") {
-            const char *v = next();
-            if (!parseFetchPolicy(v, cfg.core.smt.fetchPolicy)) {
-                std::fprintf(stderr,
-                             "--fetch-policy: unknown policy '%s' "
-                             "(valid: %s)\n",
-                             v, fetchPolicyNames().c_str());
-                return 2;
-            }
-        } else if (arg == "--partition") {
-            const char *v = next();
-            if (!parsePartitionPolicy(
-                    v, cfg.core.smt.partitionPolicy)) {
-                std::fprintf(stderr,
-                             "--partition: unknown policy '%s' "
-                             "(valid: %s)\n",
-                             v, partitionPolicyNames().c_str());
-                return 2;
-            }
+        } else if (parseConfigFlag(args, ConfigFlagSet::All, cfg)) {
+            // Applied to cfg; a bad value exits 2.
         } else if (arg == "--fairness") {
             fairness = true;
         } else if (arg == "--level") {
-            cfg.fixedLevel =
-                static_cast<unsigned>(numericFlag(arg, next()));
-        } else if (arg == "--insts") {
-            cfg.maxInsts = numericFlag(arg, next());
-        } else if (arg == "--warmup") {
-            cfg.warmupInsts = numericFlag(arg, next());
-        } else if (arg == "--no-functional-warmup") {
-            cfg.functionalWarmup = false;
+            cfg.fixedLevel = static_cast<unsigned>(args.number());
         } else if (arg == "--ckpt") {
-            ckpt_path = next();
-        } else if (arg == "--sample-interval") {
-            cfg.sampling.enabled = true;
-            cfg.sampling.intervalInsts = numericFlag(arg, next());
-        } else if (arg == "--sample-period") {
-            cfg.sampling.enabled = true;
-            cfg.sampling.periodInsts = numericFlag(arg, next());
-        } else if (arg == "--detailed-warmup") {
-            cfg.sampling.detailedWarmupInsts = numericFlag(arg, next());
-        } else if (arg == "--no-warm-caches") {
-            cfg.warmInstCaches = false;
-            cfg.warmDataCaches = false;
+            ckpt_path = args.value();
         } else if (arg == "--mem-latency") {
-            unsigned lat =
-                static_cast<unsigned>(numericFlag(arg, next()));
+            unsigned lat = static_cast<unsigned>(args.number());
             cfg.mem.dram.minLatency = lat;
             cfg.mlp.memoryLatency = lat;
         } else if (arg == "--penalty") {
-            cfg.mlp.transitionPenalty =
-                static_cast<unsigned>(numericFlag(arg, next()));
+            cfg.mlp.transitionPenalty = static_cast<unsigned>(args.number());
         } else if (arg == "--no-prefetch") {
             cfg.mem.prefetcher.enabled = false;
-        } else if (vm::isVmBoolFlag(arg) || vm::isVmValueFlag(arg)) {
-            const char *v = vm::isVmValueFlag(arg) ? next() : nullptr;
-            std::string err;
-            if (!vm::applyVmFlag(arg, v, cfg.vm, err)) {
-                std::fprintf(stderr, "%s\n", err.c_str());
-                return 2;
-            }
-        } else if (arg == "--check") {
-            cfg.lockstepCheck = true;
-        } else if (arg == "--watchdog-cycles") {
-            cfg.watchdog.noCommitWindow = numericFlag(arg, next());
-        } else if (arg == "--no-watchdog") {
-            cfg.watchdog.enabled = false;
         } else if (arg == "--debug-wedge-at") {
-            cfg.core.debugStallCommitAt = numericFlag(arg, next());
+            cfg.core.debugStallCommitAt = args.number();
         } else if (arg == "--prefetcher") {
-            std::string kind = next();
+            std::string kind = args.value();
             if (kind == "stride") {
                 cfg.mem.prefetcher.kind = PrefetcherKind::Stride;
             } else if (kind == "stream") {
@@ -293,11 +196,11 @@ main(int argc, char **argv)
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--stats-json") {
-            stats_json_path = next();
+            stats_json_path = args.value();
         } else if (arg == "--telemetry") {
-            telemetry_path = next();
+            telemetry_path = args.value();
         } else if (arg == "--telemetry-interval") {
-            const char *v = next();
+            const char *v = args.value();
             if (!parseBoundedU64(v, 1, UINT64_MAX,
                                  telemetry_interval)) {
                 std::fprintf(stderr,
@@ -309,16 +212,16 @@ main(int argc, char **argv)
         } else if (arg == "--profile") {
             profile = true;
         } else if (arg == "--timeline") {
-            timeline_path = next();
+            timeline_path = args.value();
         } else if (arg == "--trace") {
             std::string err;
-            trace_mask = parseTraceCategories(next(), &err);
+            trace_mask = parseTraceCategories(args.value(), &err);
             if (!err.empty()) {
                 std::fprintf(stderr, "--trace: %s\n", err.c_str());
                 return 2;
             }
         } else if (arg == "--trace-start") {
-            trace_start = numericFlag(arg, next());
+            trace_start = args.number();
         } else if (arg == "-h" || arg == "--help") {
             usage();
             return 0;

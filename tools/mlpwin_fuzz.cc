@@ -31,9 +31,8 @@
 #include "check/differential.hh"
 #include "check/minimize.hh"
 #include "check/mlpasm.hh"
-#include "common/parse.hh"
 #include "isa/fuzz_builder.hh"
-#include "vm/mmu_flags.hh"
+#include "sim/config_flags.hh"
 
 using namespace mlpwin;
 
@@ -68,19 +67,7 @@ usage()
         "  --stride-bytes N  stride arena bytes (power of two)\n"
         "  --small-bytes N   hot arena bytes\n"
         "%s",
-        vm::vmFlagsUsage());
-}
-
-std::uint64_t
-numericFlag(const std::string &flag, const char *value)
-{
-    std::uint64_t v = 0;
-    if (!parseU64(value, v)) {
-        std::fprintf(stderr, "%s: not a number: '%s'\n", flag.c_str(),
-                     value);
-        std::exit(2);
-    }
-    return v;
+        vmFlagsUsage());
 }
 
 std::string
@@ -173,69 +160,52 @@ main(int argc, char **argv)
     std::string replay_path;
     bool minimize = true;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-
+    for (ArgCursor args(argc, argv); args.next();) {
+        const std::string &arg = args.arg();
         if (arg == "--seed") {
-            first_seed = numericFlag(arg, next());
+            first_seed = args.number();
         } else if (arg == "--count") {
-            count = numericFlag(arg, next());
+            count = args.number();
         } else if (arg == "--seeds") {
-            std::istringstream is(next());
+            std::istringstream is(args.value());
             std::string tok;
             while (std::getline(is, tok, ',')) {
                 if (tok.empty())
                     continue;
-                seeds.push_back(numericFlag(arg, tok.c_str()));
+                seeds.push_back(args.number(tok.c_str()));
             }
         } else if (arg == "--models") {
             std::string err;
-            if (!parseDiffModels(next(), diff.models, &err)) {
+            if (!parseDiffModels(args.value(), diff.models, &err)) {
                 std::fprintf(stderr, "--models: %s\n", err.c_str());
                 return 2;
             }
         } else if (arg == "--insts") {
-            diff.maxInsts = numericFlag(arg, next());
+            diff.maxInsts = args.number();
         } else if (arg == "--out") {
-            out_path = next();
+            out_path = args.value();
         } else if (arg == "--repro-dir") {
-            repro_dir = next();
+            repro_dir = args.value();
         } else if (arg == "--save-programs") {
-            save_dir = next();
+            save_dir = args.value();
         } else if (arg == "--replay") {
-            replay_path = next();
+            replay_path = args.value();
         } else if (arg == "--no-minimize") {
             minimize = false;
         } else if (arg == "--blocks") {
-            params.blocks =
-                static_cast<unsigned>(numericFlag(arg, next()));
+            params.blocks = static_cast<unsigned>(args.number());
         } else if (arg == "--iters") {
-            params.outerIters = numericFlag(arg, next());
+            params.outerIters = args.number();
         } else if (arg == "--chase-nodes") {
-            params.chaseNodes =
-                static_cast<unsigned>(numericFlag(arg, next()));
+            params.chaseNodes = static_cast<unsigned>(args.number());
         } else if (arg == "--chase-spacing") {
-            params.chaseSpacing = numericFlag(arg, next());
+            params.chaseSpacing = args.number();
         } else if (arg == "--stride-bytes") {
-            params.strideBytes = numericFlag(arg, next());
+            params.strideBytes = args.number();
         } else if (arg == "--small-bytes") {
-            params.smallBytes = numericFlag(arg, next());
-        } else if (vm::isVmBoolFlag(arg) || vm::isVmValueFlag(arg)) {
-            const char *value =
-                vm::isVmValueFlag(arg) ? next() : nullptr;
-            std::string err;
-            if (!vm::applyVmFlag(arg, value, diff.base.vm, err)) {
-                std::fprintf(stderr, "%s\n", err.c_str());
-                return 2;
-            }
+            params.smallBytes = args.number();
+        } else if (parseConfigFlag(args, ConfigFlagSet::Vm, diff.base)) {
+            // Applied to diff.base; a bad value exits 2.
         } else if (arg == "-h" || arg == "--help") {
             usage();
             return 0;
